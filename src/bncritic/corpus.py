@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Union
 
 import numpy as np
@@ -634,14 +634,7 @@ def run_study(cfg: StudyConfig, kinds=None) -> StudyResult:
 
     reports = {}
     for i, name in enumerate(MODEL_NAMES):
-        model_cfg = StudyConfig(
-            sample_sizes=cfg.sample_sizes,
-            replicates=cfg.replicates,
-            pool_size=cfg.pool_size,
-            tail=cfg.tail,
-            correction=cfg.correction,
-            master_seed=derive_seed(cfg.master_seed, _MODEL_TAG, i),
-        )
+        model_cfg = replace(cfg, master_seed=derive_seed(cfg.master_seed, _MODEL_TAG, i))
         reports[name] = critic_mod.criticize(networks[name], observed, model_cfg, kinds)
 
     levels = ("Global",) + tuple(v.name for v in base.observables)

@@ -3,9 +3,16 @@
 The leave-one-out predictive for an observable depends only on the states of
 the other observables, so for a given posited network there are finitely many
 distinct predictives.  The pipeline precomputes one score per (observable
-configuration, node, index) into lookup tables; scoring a dataset and running
-bootstrap replicates then reduce to table gathers, which keeps a full study
-(thousands of replicates per cell) within desk-scale runtimes.
+configuration, node, index) into lookup tables, and scoring a dataset is a
+table gather.
+
+The critical bands come from bootstrap replicates of the node and global mean
+scores over a model-consistent pool of forward-sampled rows.  For each sample
+size n one Philox stream, keyed by (master seed, n), draws the replicates' row
+indices; chunks of replicates become a (replicates, pool) count matrix through
+one ``bincount``, and the count matrix times the pool's score columns, divided
+by n, gives every replicate's node means for all requested indices at once,
+so the indices share one set of draws.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -50,6 +57,12 @@ _KIND_ID = {
     ScoreKind.RANKED_PROBABILITY: 3,
 }
 _POOL_TAG = 7001
+_DRAW_TAG = 7002  # bootstrap row indices: one stream per (master seed, n)
+# Entries per index block, and per count matrix unless the pool alone is
+# larger, so that the bootstrap's working memory does not grow with n.
+_CHUNK_ENTRIES = 2**14
+# Names the reference distribution and its random stream in report provenance.
+NULL_SCHEME = "pool-bootstrap/counts-per-n"
 _KINDS_IN_ORDER = (ScoreKind.WEAVER_SURPRISE, ScoreKind.GOOD_LOG, ScoreKind.RANKED_PROBABILITY)
 
 
@@ -102,6 +115,16 @@ class StudyConfig:
     def __post_init__(self):
         if self.replicates < 100:
             raise ValueError("at least 100 bootstrap replicates required")
+        if not self.sample_sizes:
+            raise ValueError("at least one sample size required")
+        if len(set(self.sample_sizes)) != len(self.sample_sizes):
+            raise ValueError(f"duplicate sample sizes in {list(self.sample_sizes)}")
+        if min(self.sample_sizes) < 1:
+            raise ValueError(f"sample sizes must be at least 1, got {list(self.sample_sizes)}")
+        if self.pool_size < 1:
+            raise ValueError(f"pool size must be at least 1, got {self.pool_size}")
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError(f"master seed must be in [0, 2**64), got {self.master_seed}")
 
     def to_dict(self) -> dict:
         return {
@@ -115,6 +138,11 @@ class StudyConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "StudyConfig":
+        if not isinstance(doc, dict):
+            raise ValueError(f"study config must be a JSON object, got {type(doc).__name__}")
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown study config keys: {unknown}")
         kw = dict(doc)
         if "sample_sizes" in kw:
             kw["sample_sizes"] = tuple(kw["sample_sizes"])
@@ -329,11 +357,8 @@ def measures(m: ScoreMatrix) -> list[Measure]:
     """Node means plus the global measure (mean of per-simulee row means)."""
     if m.values.size == 0:
         raise EmptyMatrixError("score matrix is empty")
-    node_means = m.values.mean(axis=0)
-    per_simulee = m.values.mean(axis=1)
-    global_mean = float(per_simulee.mean())
-    grand = float(node_means.mean())
-    assert abs(global_mean - grand) <= 1e-12 * max(1.0, abs(grand)), "grand-mean identity violated"
+    node_means = np.ascontiguousarray(m.values.T).mean(axis=1)  # pairwise sum per node
+    global_mean = float(m.values.mean(axis=1).mean())
     out = [Measure(node, float(v)) for node, v in zip(m.nodes, node_means)]
     out.append(Measure(GLOBAL, global_mean))
     return out
@@ -353,18 +378,45 @@ def _band_quantiles(kind: ScoreKind, tail: TailMode, alpha: float) -> tuple[floa
     return alpha, None
 
 
-def _replicate_measures(pool_scores: np.ndarray, cfg: StudyConfig, kind: ScoreKind, n: int) -> np.ndarray:
-    """(replicates, n_nodes + 1) replicate measure values; global column last."""
-    pool_n = pool_scores.shape[0]
-    m = pool_scores.shape[1]
-    out = np.empty((cfg.replicates, m + 1))
-    kid = _KIND_ID[kind]
-    for r in range(cfg.replicates):
-        idx = rng_from_seed(derive_seed(cfg.master_seed, kid, n, r)).integers(0, pool_n, size=n)
-        cols = pool_scores[idx].mean(axis=0)
-        out[r, :m] = cols
-        out[r, m] = cols.mean()
+def _replicate_measures(pool_scores: np.ndarray, cfg: StudyConfig, n: int) -> np.ndarray:
+    """(replicates, columns) bootstrap means of the pool score columns at size n.
+
+    Replicate r averages the pool rows at positions r*n .. r*n+n-1 of one index
+    stream keyed by (master seed, n), whatever the chunk size.  Columns are
+    centred on pool row 0, which keeps a constant column exactly constant.
+    """
+    pool, width = pool_scores.shape
+    base = pool_scores[0]
+    centred = pool_scores - base
+    rng = rng_from_seed(derive_seed(cfg.master_seed, _DRAW_TAG, n))
+    per_chunk = max(1, _CHUNK_ENTRIES // max(n, pool))
+    # Replicate j of a chunk counts into row j of the chunk's (c, pool) count
+    # matrix.  When n is small several replicates share one index block; a
+    # replicate longer than a block spans several, all counting into row 0.
+    row_offsets = np.repeat(np.arange(per_chunk) * pool, min(n, _CHUNK_ENTRIES))
+    out = np.empty((cfg.replicates, width))
+    for r0 in range(0, cfg.replicates, per_chunk):
+        c = min(per_chunk, cfg.replicates - r0)
+        counts = 0
+        for p0 in range(0, c * n, _CHUNK_ENTRIES):
+            k = min(_CHUNK_ENTRIES, c * n - p0)
+            idx = rng.integers(0, pool, size=k) + row_offsets[:k]
+            counts = counts + np.bincount(idx, minlength=c * pool)
+        out[r0:r0 + c] = counts.reshape(c, pool) @ centred
+    out /= n
+    out += base
     return out
+
+
+def _with_global(node_means: np.ndarray) -> np.ndarray:
+    """Append the global measure (mean of the node means) as the last column."""
+    return np.column_stack([node_means, node_means.mean(axis=1)])
+
+
+def _pool_scores(net: Network, cfg: StudyConfig, tables: _ScoreTables, kinds) -> np.ndarray:
+    """(pool_size, len(kinds) * n_nodes) pool scores, kinds side by side."""
+    pool = sample.forward_sample(net, cfg.pool_size, derive_seed(cfg.master_seed, _POOL_TAG))
+    return np.hstack([_gather(tables, kind, pool.rows) for kind in kinds])
 
 
 def _bands_from_replicates(rep: np.ndarray, nodes, cfg: StudyConfig, kind: ScoreKind) -> dict[str, CriticalBand]:
@@ -385,24 +437,17 @@ def _bands_from_replicates(rep: np.ndarray, nodes, cfg: StudyConfig, kind: Score
     return bands
 
 
-def bootstrap_null(net: Network, cfg: StudyConfig, kind: ScoreKind, n: int,
-                   _tables: _ScoreTables | None = None,
-                   _pool_scores: np.ndarray | None = None) -> dict[str, CriticalBand]:
+def bootstrap_null(net: Network, cfg: StudyConfig, kind: ScoreKind, n: int) -> dict[str, CriticalBand]:
     """Empirical critical bands under the posited model's own data.
 
     Resamples n rows with replacement from a model-consistent pool of
-    cfg.pool_size rows, for cfg.replicates replicates; per-replicate seeds are
-    derived from (master seed, kind, n, replicate) so results are independent
-    of execution order.
+    cfg.pool_size forward-sampled rows, for cfg.replicates replicates.  The
+    draws depend only on (master seed, n), so the bands equal those that
+    ``criticize`` reports for this kind and n, whichever kinds it scores.
     """
-    tables = _tables if _tables is not None else _score_tables(net, [kind])
-    if _pool_scores is None:
-        pool = sample.forward_sample(net, cfg.pool_size, derive_seed(cfg.master_seed, _POOL_TAG))
-        pool_scores = _gather(tables, kind, pool.rows)
-    else:
-        pool_scores = _pool_scores
-    rep = _replicate_measures(pool_scores, cfg, kind, n)
-    return _bands_from_replicates(rep, tables.nodes, cfg, kind)
+    tables = _score_tables(net, [kind])
+    rep = _replicate_measures(_pool_scores(net, cfg, tables, [kind]), cfg, n)
+    return _bands_from_replicates(_with_global(rep), tables.nodes, cfg, kind)
 
 
 def _flag(kind: ScoreKind, value: float, band: CriticalBand) -> Flag:
@@ -428,20 +473,23 @@ def criticize(net: Network, observed: Dataset, cfg: StudyConfig, kinds=None) -> 
     if observed.columns != tables.nodes:
         raise DatasetMismatchError(
             f"dataset columns {observed.columns} do not match network observables {tables.nodes}")
-    pool = sample.forward_sample(net, cfg.pool_size, derive_seed(cfg.master_seed, _POOL_TAG))
+    pool_scores = _pool_scores(net, cfg, tables, kinds)
+    replicates = {n: _replicate_measures(pool_scores, cfg, n) for n in cfg.sample_sizes}
 
+    m = len(tables.nodes)
+    levels = list(tables.nodes) + [GLOBAL]
     cells: list[FitCell] = []
-    for kind in kinds:
-        pool_scores = _gather(tables, kind, pool.rows)
-        obs_scores = _gather(tables, kind, observed.rows[:max_n])
+    for j, kind in enumerate(kinds):
+        cols = slice(j * m, (j + 1) * m)
+        base = pool_scores[0, cols]
+        # Centred like the replicates, so a constant column matches its band
+        # exactly; one contiguous row per node, so each mean is a pairwise sum.
+        obs_centred = np.subtract(_gather(tables, kind, observed.rows[:max_n]).T,
+                                  base[:, None], order="C")
         for n in cfg.sample_sizes:
-            bands = bootstrap_null(net, cfg, kind, n, _tables=tables, _pool_scores=pool_scores)
-            sub = obs_scores[:n]
-            node_means = sub.mean(axis=0)
-            observed_measures = {node: float(v) for node, v in zip(tables.nodes, node_means)}
-            observed_measures[GLOBAL] = float(sub.mean(axis=1).mean())
-            for level in list(tables.nodes) + [GLOBAL]:
-                value = observed_measures[level]
+            bands = _bands_from_replicates(_with_global(replicates[n][:, cols]), tables.nodes, cfg, kind)
+            values = _with_global((obs_centred[:, :n].mean(axis=1) + base)[None, :])[0]
+            for level, value in zip(levels, values.tolist()):
                 band = bands[level]
                 cells.append(FitCell(kind, n, level, value, band, _flag(kind, value, band)))
 
@@ -454,6 +502,7 @@ def criticize(net: Network, observed: Dataset, cfg: StudyConfig, kinds=None) -> 
         "correction": cfg.correction.value,
         "sample_sizes": list(cfg.sample_sizes),
         "kinds": [k.value for k in kinds],
+        "null_scheme": NULL_SCHEME,
         "config_hash": hashlib.sha256(
             json.dumps(cfg.to_dict(), sort_keys=True).encode()).hexdigest()[:16],
     }

@@ -163,3 +163,18 @@ class TestStudyCommand:
         assert len(grid["rows"]) == 10
         models = sorted(p.name for p in (out / "models").iterdir())
         assert len(models) == 10 and "data_generation" in models
+
+    @pytest.mark.parametrize("doc", [
+        {"replicate": 100},
+        {"sample_sizes": [50, 50]},
+        {"pool_size": 0},
+        [50, 100],
+    ])
+    def test_bad_config_exits_2(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        rc = main(["study", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()

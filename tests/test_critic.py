@@ -250,3 +250,28 @@ class TestStudyConfig:
                           tail=TailMode.ONE_TAILED_MISFIT,
                           correction=Correction.PER_FAMILY, master_seed=12)
         assert StudyConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("kw", [
+        {"sample_sizes": ()},
+        {"sample_sizes": (50, 100, 50)},
+        {"sample_sizes": (0,)},
+        {"sample_sizes": (50, -1)},
+        {"pool_size": 0},
+        {"master_seed": -1},
+        {"master_seed": 2**64},
+    ])
+    def test_rejects_invalid_fields(self, kw):
+        with pytest.raises(ValueError):
+            StudyConfig(**kw)
+
+    def test_seed_range_endpoints_accepted(self):
+        assert StudyConfig(master_seed=0).master_seed == 0
+        assert StudyConfig(master_seed=2**64 - 1).master_seed == 2**64 - 1
+
+    def test_from_dict_rejects_unknown_keys(self):
+        with pytest.raises(ValueError, match="replicate"):
+            StudyConfig.from_dict({"replicate": 200})
+
+    def test_from_dict_rejects_non_object(self):
+        with pytest.raises(ValueError):
+            StudyConfig.from_dict([50, 100])
